@@ -27,9 +27,3 @@ def gmm(
         mind = np.minimum(mind, metric.point_to_rows(feats[nxt], feats))
     return chosen
 
-
-def gmm_diversity(feats: np.ndarray, k: int, metric: Metric) -> float:
-    """div of the GMM solution (the unconstrained reference in Table II)."""
-    from ..diversity import div
-
-    return div(feats[gmm(feats, k, metric)], metric)

@@ -6,21 +6,67 @@ One :class:`StreamState` holds
   at least one candidate (the paper's ``O(km logΔ/ε)`` memory bound), and
 * one or more :class:`CandidateBank` s — for each guess ``μ`` in the grid, a
   candidate subset of the store, represented as a ``(G, store)`` boolean
-  membership matrix so a single masked-min evaluates ``d(x, S_μ)`` for every
-  guess at once.
+  membership matrix.
 
-The update rule per element x (Algorithm 1, line 5): for each guess μ with
-``|S_μ| < cap`` and ``d(x, S_μ) >= μ``, add x to ``S_μ``. Acceptance is
-evaluated against the *blind* bank and the bank of x's own group only, exactly
-as in Algorithms 2/3.
+The update rule (Algorithm 1, line 5): for each guess μ with ``|S_μ| < cap``
+and ``d(x, S_μ) >= μ``, add x to ``S_μ``, checking only the *blind* bank and
+the bank of x's own group (Algorithms 2/3). :func:`accept_rows` is the rule's
+only implementation. Candidates only grow, so a rejection is permanent
+(DESIGN.md §3): :meth:`StreamState.update` drops the rows of each block that
+the start-of-block state rejects, then applies the survivors in stream order,
+and the Spark job's executor prefilter :func:`survives_snapshot` is the same
+block filter over a broadcast snapshot of the state.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..metrics import Metric
+from ..metrics import Metric, get_metric, row_chunks
 
-__all__ = ["CandidateBank", "StreamState"]
+__all__ = ["CandidateBank", "StreamState", "accept_rows", "survives_snapshot"]
+
+# Rows per block of the update: smaller blocks filter against a fresher state,
+# larger ones make fewer numpy calls (128 measured fastest on Adult/Census/Lyrics).
+BLOCK = 128
+
+
+def accept_rows(
+    D: np.ndarray, mus: np.ndarray, member: np.ndarray, sizes: np.ndarray, cap: int
+) -> np.ndarray:
+    """Algorithm 1 line 5 for a block of rows against one bank: a (B, G) mask.
+
+    ``D`` holds the (B, N) distances from the rows to the first N store
+    elements, which hold every member of the bank (``member[:, :N]``). Row b
+    is accepted at guess g iff ``sizes[g] < cap`` and ``d(x_b, S_g) >=
+    mus[g]``, with ``d(x, ∅) = ∞``.
+    """
+    n_rows, n = D.shape
+    out = np.zeros((n_rows, len(mus)), dtype=bool)
+    live = np.flatnonzero(sizes < cap)
+    # live candidates as rows of store indices, padded with n: an inf column
+    g, j = np.divmod(np.flatnonzero(member[live, :n]), n)
+    slot = np.arange(len(g)) - np.searchsorted(g, g)
+    idx = np.full((live.size, slot.max(initial=-1) + 1), n)
+    idx[g, slot] = j
+    D = np.hstack((D, np.full((n_rows, 1), np.inf)))
+    for rows in row_chunks(n_rows, idx.size):
+        out[rows, live] = D[rows][:, idx].min(axis=2, initial=np.inf) >= mus[live]
+    return out
+
+
+def _keep_rows(D, groups, mus, blind, banks) -> np.ndarray:
+    """Rows that some guess of the blind bank or of their group's bank accepts.
+
+    ``blind`` and the values of ``banks`` are ``(member, sizes, cap)``. A row
+    whose group has no bank is kept, so that the update rejects it loudly.
+    """
+    keep = accept_rows(D, mus, *blind).any(axis=1)
+    if banks:
+        keep |= ~np.isin(groups, list(banks))
+    for grp, bank in banks.items():
+        rows = np.flatnonzero(groups == grp)
+        keep[rows] |= accept_rows(D[rows], mus, *bank).any(axis=1)
+    return keep
 
 
 class CandidateBank:
@@ -41,22 +87,9 @@ class CandidateBank:
         m[:, :old] = self.member
         self.member = m
 
-    def accept_mask(self, dists: np.ndarray, mus: np.ndarray, n_stored: int) -> np.ndarray:
-        """Which guesses accept an element at distance vector ``dists``.
-
-        ``d(x, ∅) = ∞`` so an empty candidate accepts at every guess.
-        """
-        nonfull = self.sizes < self.cap
-        out = np.zeros(len(mus), dtype=bool)
-        if not nonfull.any():
-            return out
-        if n_stored == 0:
-            out[:] = nonfull
-            return out
-        M = self.member[nonfull, :n_stored]
-        dmin = np.where(M, dists[None, :n_stored], np.inf).min(axis=1)
-        out[nonfull] = dmin >= mus[nonfull]
-        return out
+    def accept_mask(self, D: np.ndarray, mus: np.ndarray) -> np.ndarray:
+        """Which guesses accept each row of the (B, store) distances ``D``."""
+        return accept_rows(D, mus, self.member, self.sizes, self.cap)
 
     def indices(self, guess: int, n_stored: int) -> np.ndarray:
         """Store indices of candidate ``S_μ`` for guess index ``guess``."""
@@ -133,89 +166,72 @@ class StreamState:
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
         if groups is None:
+            if self.group_banks:
+                raise ValueError("groups are required when group banks exist")
             groups = np.zeros(b, dtype=np.int64)
         groups = np.asarray(groups, dtype=np.int64)
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
-        mus = self.mus
-        for r in range(b):
-            x, grp, eid = feats[r], int(groups[r]), int(ids[r])
-            dists = self.metric.point_to_rows(x, self._feats[: self.n_stored])
-            acc_b = self.blind.accept_mask(dists, mus, self.n_stored)
-            gb = self.group_banks.get(grp)
-            acc_g = gb.accept_mask(dists, mus, self.n_stored) if gb is not None else None
-            took_b = bool(acc_b.any())
-            took_g = acc_g is not None and bool(acc_g.any())
-            if took_b or took_g:
-                j = self._append(x, grp, eid)
-                if took_b:
-                    self.blind.member[acc_b, j] = True
-                    self.blind.sizes[acc_b] += 1
-                if took_g:
-                    gb.member[acc_g, j] = True
-                    gb.sizes[acc_g] += 1
-            self.n_seen += 1
+        if self.group_banks:
+            unknown = np.setdiff1d(groups, list(self.group_banks))
+            if unknown.size:
+                raise ValueError(
+                    f"group(s) {unknown.tolist()} have no candidate bank; "
+                    f"known groups are {sorted(self.group_banks)}"
+                )
+        for a in range(0, b, BLOCK):
+            blk = slice(a, a + BLOCK)
+            self._update_block(feats[blk], groups[blk], ids[blk])
+        self.n_seen += b
+
+    def _update_block(self, feats, groups, ids) -> None:
+        """Block filter against the state at the start of the block, then the
+        survivors in order; distances to elements stored meanwhile come from
+        the survivors' own distance matrix."""
+        D = self.metric.pairwise(feats, self.feats)
+        blind = (self.blind.member, self.blind.sizes, self.blind.cap)
+        by_group = {g: (b.member, b.sizes, b.cap) for g, b in self.group_banks.items()}
+        rows = np.flatnonzero(_keep_rows(D, groups, self.mus, blind, by_group))
+        X, D_old = feats[rows], D[rows]
+        D_new = self.metric.pairwise(X, X)
+        stored: list[int] = []
+        for i, r in enumerate(rows):
+            grp = int(groups[r])
+            banks = (self.blind, self.group_banks[grp]) if self.group_banks else (self.blind,)
+            d = np.concatenate((D_old[i], D_new[i, stored]))[None, :]
+            accs = [bank.accept_mask(d, self.mus)[0] for bank in banks]
+            if any(acc.any() for acc in accs):
+                j = self._append(X[i], grp, int(ids[r]))
+                for bank, acc in zip(banks, accs):
+                    bank.member[acc, j] = True
+                    bank.sizes[acc] += 1
+                stored.append(i)
 
     # -- distributed prefilter ----------------------------------------------
     def snapshot(self) -> dict:
         """Immutable state snapshot for broadcasting to executors."""
-        banks = {
-            int(g): (b.member[:, : self.n_stored].copy(), b.sizes.copy(), b.cap)
-            for g, b in self.group_banks.items()
-        }
+        def arrays(b: CandidateBank) -> tuple:
+            return b.member[:, : self.n_stored].copy(), b.sizes.copy(), b.cap
+
         return {
             "metric": self.metric.name,
             "mus": self.mus.copy(),
             "feats": self.feats.copy(),
-            "blind": (
-                self.blind.member[:, : self.n_stored].copy(),
-                self.blind.sizes.copy(),
-                self.blind.cap,
-            ),
-            "banks": banks,
+            "blind": arrays(self.blind),
+            "banks": {g: arrays(b) for g, b in self.group_banks.items()},
         }
 
 
-def survives_snapshot(
-    snap: dict, feats: np.ndarray, groups: np.ndarray
-) -> np.ndarray:
-    """Vectorized prefilter: True where an element *might* still be accepted.
+def survives_snapshot(snap: dict, feats: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Prefilter: True where an element *might* still be accepted.
 
-    Evaluated against a state snapshot. Safe to drop False rows: candidates
-    only grow and ``d(x,S)`` only shrinks, so rejection against an older state
-    implies rejection against every later state (see DESIGN.md §3).
+    The block filter of :meth:`StreamState.update`, evaluated against a state
+    snapshot. Safe to drop False rows: candidates only grow and ``d(x,S)``
+    only shrinks, so rejection against an older state implies rejection
+    against every later state (see DESIGN.md §3).
     """
-    from ..metrics import get_metric
-
-    metric = get_metric(snap["metric"])
-    mus = snap["mus"]
     feats = np.asarray(feats, dtype=np.float64)
     groups = np.asarray(groups, dtype=np.int64)
-    n_b = len(feats)
-    store = snap["feats"]
-    if len(store) == 0:
-        return np.ones(n_b, dtype=bool)
-    D = metric.pairwise(feats, store)  # (B, N)
-    out = np.zeros(n_b, dtype=bool)
-
-    def _bank_pass(member: np.ndarray, sizes: np.ndarray, cap: int, rows: np.ndarray):
-        for g in np.flatnonzero(sizes < cap):
-            idx = np.flatnonzero(member[g])
-            if idx.size == 0:
-                out[rows] = True
-                continue
-            live = rows[~out[rows]]
-            if live.size == 0:
-                return
-            ok = D[np.ix_(live, idx)].min(axis=1) >= mus[g]
-            out[live[ok]] = True
-
-    all_rows = np.arange(n_b)
-    member, sizes, cap = snap["blind"]
-    _bank_pass(member, sizes, cap, all_rows)
-    for grp, (member, sizes, cap) in snap["banks"].items():
-        rows = np.flatnonzero(groups == grp)
-        if rows.size:
-            _bank_pass(member, sizes, cap, rows)
-    return out
+    D = get_metric(snap["metric"]).pairwise(feats, snap["feats"])
+    return _keep_rows(D, groups, snap["mus"], snap["blind"], snap["banks"])

@@ -14,10 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..diversity import div
-from ..guesses import guess_grid
-from ..metrics import Metric, get_metric
-from .bank import StreamState
-from .stream_dm import DMResult
+from ..metrics import Metric
+from .stream_dm import GuessSolver
 
 
 def swap_balance(
@@ -60,8 +58,16 @@ def swap_balance(
     return sol
 
 
-class SFDM1:
-    """Feed the stream via :meth:`update`, then :meth:`solve` post-processes."""
+class SFDM1(GuessSolver):
+    """Feed the stream via :meth:`update`, then :meth:`solve` post-processes.
+
+    Eligible guesses are U' of Alg. 2 line 9: every group candidate is full.
+    """
+
+    no_guess = (
+        "SFDM1: no guess produced full candidates (U' empty); "
+        "extent estimate or quotas inconsistent with the data"
+    )
 
     def __init__(
         self,
@@ -75,52 +81,24 @@ class SFDM1:
     ):
         if len(ks) != 2:
             raise ValueError(f"SFDM1 requires exactly 2 groups, got {sorted(ks)}")
-        self.metric = get_metric(metric) if isinstance(metric, str) else metric
-        self.ks = {int(g): int(k) for g, k in ks.items()}
-        self.k = sum(self.ks.values())
-        self.mus = guess_grid(d_min, d_max, eps)
-        self.state = StreamState(self.metric, self.mus, dim, self.k, group_caps=self.ks)
-
-    def update(self, feats, groups, ids=None) -> None:
-        self.state.update(feats, groups, ids)
-
-    def solve(self) -> DMResult:
-        st, metric, k = self.state, self.metric, self.k
-        best = None
-        for g in range(len(self.mus)):
-            if st.blind.sizes[g] != k:
-                continue
-            if any(
-                st.group_banks[grp].sizes[g] != kg for grp, kg in self.ks.items()
-            ):
-                continue
-            sol = st.blind.indices(g, st.n_stored).tolist()
-            counts = {grp: int((st.groups[sol] == grp).sum()) for grp in self.ks}
-            under = [grp for grp, kg in self.ks.items() if counts[grp] < kg]
-            if under:
-                (gu,) = under
-                pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
-                sol = swap_balance(
-                    st.feats, st.groups, sol, pool, gu, self.ks[gu], k, metric
-                )
-                if sol is None:
-                    continue
-            d = div(st.feats[sol], metric)
-            if best is None or d > best[0]:
-                best = (d, sol, float(self.mus[g]))
-        if best is None:
-            raise RuntimeError(
-                "SFDM1: no guess produced full candidates (U' empty); "
-                "extent estimate or quotas inconsistent with the data"
-            )
-        d, sol, mu = best
-        idx = np.array(sol)
-        return DMResult(
-            indices=idx,
-            ids=st.ids[idx],
-            feats=st.feats[idx],
-            groups=st.groups[idx],
-            diversity=d,
-            mu=mu,
-            n_stored=st.n_stored,
+        ks = {int(g): int(kg) for g, kg in ks.items()}
+        super().__init__(
+            metric, k=sum(ks.values()), ks=ks, eps=eps, d_min=d_min, d_max=d_max,
+            dim=dim, group_caps=ks,
         )
+
+    def _post_one(self, g: int) -> tuple[float, list[int]] | None:
+        """Balance the blind candidate of guess g (Alg. 2 lines 10-17)."""
+        st = self.state
+        sol = st.blind.indices(g, st.n_stored).tolist()
+        counts = {grp: int((st.groups[sol] == grp).sum()) for grp in self.ks}
+        under = [grp for grp, kg in self.ks.items() if counts[grp] < kg]
+        if under:
+            (gu,) = under
+            pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
+            sol = swap_balance(
+                st.feats, st.groups, sol, pool, gu, self.ks[gu], self.k, self.metric
+            )
+            if sol is None:
+                return None
+        return div(st.feats[sol], self.metric), sol

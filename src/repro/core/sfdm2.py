@@ -19,13 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..diversity import div
-from ..guesses import guess_grid
 from ..matroid.intersection import max_common_independent_set
 from ..matroid.partition import PartitionMatroid
-from ..metrics import Metric, get_metric
-from .bank import StreamState
+from ..metrics import Metric
 from .clustering import threshold_clusters
-from .stream_dm import DMResult
+from .stream_dm import GuessSolver
 
 
 def _greedy_maxmin_subset(D: np.ndarray, members: list[int], size: int) -> list[int]:
@@ -44,8 +42,17 @@ def _greedy_maxmin_subset(D: np.ndarray, members: list[int], size: int) -> list[
     return chosen
 
 
-class SFDM2:
-    """Feed the stream via :meth:`update`, then :meth:`solve` post-processes."""
+class SFDM2(GuessSolver):
+    """Feed the stream via :meth:`update`, then :meth:`solve` post-processes.
+
+    Eligible guesses (Alg. 3 line 9): every group candidate holds >= k_i.
+    """
+
+    group_test = staticmethod(np.greater_equal)
+    no_guess = (
+        "SFDM2: no guess yielded a fair size-k solution; "
+        "extent estimate or quotas inconsistent with the data"
+    )
 
     def __init__(
         self,
@@ -57,16 +64,13 @@ class SFDM2:
         d_max: float,
         dim: int,
     ):
-        self.metric = get_metric(metric) if isinstance(metric, str) else metric
-        self.ks = {int(g): int(k) for g, k in ks.items()}
-        self.k = sum(self.ks.values())
-        self.m = len(self.ks)
-        self.mus = guess_grid(d_min, d_max, eps)
-        group_caps = {g: self.k for g in self.ks}  # cap k, not k_i (Alg. 3 line 7)
-        self.state = StreamState(self.metric, self.mus, dim, self.k, group_caps=group_caps)
-
-    def update(self, feats, groups, ids=None) -> None:
-        self.state.update(feats, groups, ids)
+        ks = {int(g): int(kg) for g, kg in ks.items()}
+        self.m = len(ks)
+        k = sum(ks.values())
+        super().__init__(
+            metric, k=k, ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=dim,
+            group_caps={g: k for g in ks},  # cap k, not k_i (Alg. 3 line 7)
+        )
 
     def _post_one(self, g: int) -> tuple[float, list[int]] | None:
         """Post-process guess index g; returns (div, store indices) or None."""
@@ -109,36 +113,3 @@ class SFDM2:
             return None
         sol_idx = sorted(sol)
         return div(feats[sol_idx], self.metric), [int(s_all[x]) for x in sol_idx]
-
-    def solve(self) -> DMResult:
-        st = self.state
-        best = None
-        for g in range(len(self.mus)):
-            if st.blind.sizes[g] != self.k:
-                continue
-            if any(
-                st.group_banks[grp].sizes[g] < kg for grp, kg in self.ks.items()
-            ):
-                continue
-            out = self._post_one(g)
-            if out is None:
-                continue
-            d, sol = out
-            if best is None or d > best[0]:
-                best = (d, sol, float(self.mus[g]))
-        if best is None:
-            raise RuntimeError(
-                "SFDM2: no guess yielded a fair size-k solution; "
-                "extent estimate or quotas inconsistent with the data"
-            )
-        d, sol, mu = best
-        idx = np.array(sol)
-        return DMResult(
-            indices=idx,
-            ids=st.ids[idx],
-            feats=st.feats[idx],
-            groups=st.groups[idx],
-            diversity=d,
-            mu=mu,
-            n_stored=st.n_stored,
-        )

@@ -10,7 +10,7 @@ re-scanning all n elements.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Measure:
     stream_s: float = float("nan")   # streaming algos: one-pass total
     update_us: float = float("nan")  # streaming algos: avg per-element update
     n_elem: float = float("nan")     # streaming algos: stored elements
-    extra: dict = field(default_factory=dict)
 
 
 def run_algo(

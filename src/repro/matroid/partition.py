@@ -36,6 +36,3 @@ class PartitionMatroid:
         l = int(self.labels[x])
         return counts.get(l, 0) < self.cap(l)
 
-    def rank(self) -> int:
-        labels, counts = np.unique(self.labels, return_counts=True)
-        return int(sum(min(c, self.cap(l)) for l, c in zip(labels, counts)))

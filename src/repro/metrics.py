@@ -13,7 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Metric", "get_metric", "METRICS"]
+__all__ = ["Metric", "get_metric", "METRICS", "row_chunks"]
+
+CHUNK = 1 << 16  # elements per temporary of a chunked row-by-row computation
+
+
+def row_chunks(n_rows: int, row_elems: int):
+    """Row slices whose temporaries hold about ``CHUNK`` elements (at least one row)."""
+    step = max(1, CHUNK // max(row_elems, 1))
+    return (slice(a, a + step) for a in range(0, n_rows, step))
 
 
 class Metric:
@@ -37,7 +45,10 @@ class Metric:
             )
             return np.sqrt(np.clip(sq, 0.0, None))
         if self.name == "manhattan":
-            return np.abs(A[:, None, :] - B[None, :, :]).sum(-1)
+            out = np.empty((len(A), len(B)))
+            for rows in row_chunks(len(A), B.size):
+                out[rows] = np.abs(A[rows, None, :] - B[None, :, :]).sum(-1)
+            return out
         # angular: arccos of cosine similarity, in [0, pi]
         na = np.linalg.norm(A, axis=1)
         nb = np.linalg.norm(B, axis=1)

@@ -13,24 +13,24 @@ route for custom per-partition physical operators.
 """
 from __future__ import annotations
 
+import copy
 from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
+from ..core.bank import StreamState
 from ..core.stream_dm import DMResult
-from ..guesses import guess_grid
-from ..metrics import get_metric
 from .._stream_common import make_algo
 
 
-def _partition_coreset_fn(metric_name: str, mus, dim: int, k: int, group_caps):
-    """Builds the mapInPandas function: per-partition stream-phase candidates."""
-    from ..core.bank import StreamState
+def _partition_coreset_fn(empty: StreamState):
+    """Builds the mapInPandas function: per-partition stream-phase candidates,
+    each partition starting from its own copy of the ``empty`` state."""
 
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        state = StreamState(get_metric(metric_name), mus, dim, k, group_caps=dict(group_caps))
+        state = copy.deepcopy(empty)
         for pdf in batches:
             if len(pdf):
                 state.update(
@@ -64,20 +64,12 @@ def run_fair_coreset(
 
     Returns ``(result, coreset_size)``. ``algo`` is ``"sfdm1"`` or ``"sfdm2"``.
     """
-    mus = guess_grid(d_min, d_max, eps)
-    k = sum(ks.values())
-    if algo == "sfdm1":
-        group_caps = {int(g): int(kg) for g, kg in ks.items()}
-    elif algo == "sfdm2":
-        group_caps = {int(g): k for g in ks}
-    else:
-        raise ValueError(f"unknown algo {algo!r}")
-    fn = _partition_coreset_fn(metric, mus, dim, k, tuple(group_caps.items()))
-    core = df.select("id", "group", "features").mapInPandas(fn, schema=df.schema)
-    pdf = core.toPandas().sort_values("id").reset_index(drop=True)
     solver = make_algo(
         algo, metric, ks=ks, eps=eps, d_min=d_min, d_max=d_max, dim=dim
     )
+    fn = _partition_coreset_fn(solver.state)
+    core = df.select("id", "group", "features").mapInPandas(fn, schema=df.schema)
+    pdf = core.toPandas().sort_values("id").reset_index(drop=True)
     solver.update(
         np.stack(pdf["features"].to_numpy()),
         pdf["group"].to_numpy(),

@@ -6,8 +6,10 @@ micro-batches (``maxFilesPerTrigger=1`` + ``Trigger.AvailableNow``) and, in
 
 1. broadcasts the current candidate state (stored features + per-guess
    membership masks + sizes) to the executors;
-2. runs a ``mapInPandas`` **prefilter** that drops every element that cannot
-   be accepted by any candidate of any guess — exactly safe, because
+2. runs a ``mapInPandas`` **prefilter** (the block filter of
+   :meth:`~repro.core.bank.StreamState.update`, over the broadcast state)
+   that drops every element that cannot be accepted by any candidate of any
+   guess — exactly safe, because
    candidates only grow and ``d(x, S)`` only shrinks, so rejection against
    the start-of-batch state implies rejection forever (DESIGN.md §3);
 3. collects the (few) survivors and applies them to the driver-held

@@ -3,7 +3,10 @@ snapshot prefilter safety."""
 import numpy as np
 import pytest
 
+from repro._stream_common import make_algo
 from repro.core.bank import StreamState, survives_snapshot
+from repro.datasets import adult_like, blobs, celeba_like, census_like, equal_quotas, lyrics_like
+from repro.extent import estimate_extent
 from repro.metrics import get_metric
 
 MET = get_metric("euclidean")
@@ -25,6 +28,15 @@ def test_threshold_acceptance():
     st.update(np.array([[0.0, 0.0], [1.5, 0.0]]))
     # second point: d=1.5 -> accepted at mu=1.0, rejected at mu=2.0
     assert list(st.blind.sizes) == [2, 1]
+
+
+def test_distance_equal_to_mu_accepted():
+    # line 5 accepts at d(x, S) >= mu, in the update and in the prefilter alike
+    st = make_state(mus=(1.0,), k=5)
+    st.update(np.array([[0.0, 0.0]]))
+    assert survives_snapshot(st.snapshot(), np.array([[1.0, 0.0]]), np.zeros(1)).all()
+    st.update(np.array([[1.0, 0.0]]))
+    assert st.blind.sizes[0] == 2
 
 
 def test_rejected_everywhere_not_stored():
@@ -64,23 +76,92 @@ def test_store_growth_preserves_membership():
     assert len(idx) == st.blind.sizes[0]
 
 
+def reference_update(st, feats, groups, ids):
+    """Algorithm 1 line 5 one element at a time: the per-element update loop
+    (``point_to_rows`` + a masked min over G x store) the block filter replaced."""
+    for x, grp, eid in zip(feats, groups, ids):
+        dists = st.metric.point_to_rows(x, st.feats)
+        banks = [st.blind] + ([st.group_banks[int(grp)]] if st.group_banks else [])
+        accs = []
+        for bank in banks:
+            M = bank.member[:, : st.n_stored]
+            dmin = np.where(M, dists[None, :], np.inf).min(axis=1, initial=np.inf)
+            accs.append((bank.sizes < bank.cap) & (dmin >= st.mus))
+        if any(acc.any() for acc in accs):
+            j = st._append(x, int(grp), int(eid))
+            for bank, acc in zip(banks, accs):
+                bank.member[acc, j] = True
+                bank.sizes[acc] += 1
+        st.n_seen += 1
+
+
+def assert_same_state(a, b):
+    n = a.n_stored
+    assert b.n_stored == n and a.n_seen == b.n_seen
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.feats, b.feats)
+    assert np.array_equal(a.groups, b.groups)
+    assert sorted(a.group_banks) == sorted(b.group_banks)
+    for bank_a, bank_b in zip(
+        [a.blind, *a.group_banks.values()], [b.blind, *b.group_banks.values()]
+    ):
+        assert np.array_equal(bank_a.member[:, :n], bank_b.member[:, :n])
+        assert np.array_equal(bank_a.sizes, bank_b.sizes)
+
+
+def _generator_stream(name, algo, n=1000):
+    ds = {
+        "adult": lambda: adult_like(n, "sex"),
+        "celeba": lambda: celeba_like(n, "sex+age"),
+        "census": lambda: census_like(n, "sex+age"),
+        "lyrics": lambda: lyrics_like(n),
+        "blobs": lambda: blobs(n, 3),
+    }[name]()
+    groups = ds.groups % 2 if algo == "sfdm1" else ds.groups
+    d_min, d_max = estimate_extent(ds.feats, get_metric(ds.metric_name))
+
+    def solver():
+        return make_algo(
+            algo, ds.metric_name, ks=equal_quotas(20, groups), eps=0.1,
+            d_min=d_min, d_max=d_max, dim=ds.dim,
+        )
+
+    return ds.feats, groups, np.arange(ds.n) + 1000, solver
+
+
 def test_chunked_equals_oneshot():
     g = np.random.default_rng(1)
     X = g.normal(size=(200, 2))
     grp = g.integers(0, 2, 200)
-    a = make_state(mus=(0.3, 0.6, 1.2), k=5, caps={0: 2, 1: 3})
-    b = make_state(mus=(0.3, 0.6, 1.2), k=5, caps={0: 2, 1: 3})
-    a.update(X, grp)
-    for i in range(0, 200, 17):
-        b.update(X[i : i + 17], grp[i : i + 17])
-    assert a.n_stored == b.n_stored
-    assert np.array_equal(a.feats, b.feats)
-    assert np.array_equal(a.blind.sizes, b.blind.sizes)
-    for grp_id in (0, 1):
-        assert np.array_equal(
-            a.group_banks[grp_id].member[:, : a.n_stored],
-            b.group_banks[grp_id].member[:, : b.n_stored],
-        )
+    ids = np.arange(200)
+    ref = make_state(mus=(0.3, 0.6, 1.2), k=5, caps={0: 2, 1: 3})
+    reference_update(ref, X, grp, ids)
+    for block in (1, 17, 200):
+        st = make_state(mus=(0.3, 0.6, 1.2), k=5, caps={0: 2, 1: 3})
+        for i in range(0, 200, block):
+            st.update(X[i : i + block], grp[i : i + block], ids[i : i + block])
+        assert_same_state(st, ref)
+
+
+@pytest.mark.parametrize("algo", ["sfdm1", "sfdm2"])
+@pytest.mark.parametrize("name", ["adult", "celeba", "census", "lyrics", "blobs"])
+def test_chunked_equals_per_element_reference(name, algo):
+    X, grp, ids, solver = _generator_stream(name, algo)
+    n = len(X)
+    ref = solver().state
+    reference_update(ref, X, grp, ids)
+    for block in (1, 7, 256, n):
+        st = solver().state
+        for i in range(0, n, block):
+            st.update(X[i : i + block], grp[i : i + block], ids[i : i + block])
+        assert_same_state(st, ref)
+    # the prefilter drops only rows the continued update never stores
+    st = solver().state
+    st.update(X[: n // 2], grp[: n // 2], ids[: n // 2])
+    keep = survives_snapshot(st.snapshot(), X[n // 2 :], grp[n // 2 :])
+    assert not keep.all()
+    st.update(X[n // 2 :], grp[n // 2 :], ids[n // 2 :])
+    assert not set(ids[n // 2 :][~keep].tolist()) & set(st.ids.tolist())
 
 
 def test_ids_tracked():
@@ -151,3 +232,14 @@ def test_snapshot_is_decoupled_from_state():
     n0 = len(snap["feats"])
     st.update(Xb, gb)
     assert len(snap["feats"]) == n0
+
+
+def test_prefilter_keeps_rows_of_unknown_groups():
+    # the driver's update must see them, to reject them loudly
+    st, Xb, gb = _full_state_and_batch()
+    keep = survives_snapshot(st.snapshot(), Xb, np.full(len(Xb), 9))
+    assert keep.all()
+    with pytest.raises(ValueError, match="no candidate bank"):
+        st.update(Xb[:1], np.array([9]))
+    with pytest.raises(ValueError, match="groups are required"):
+        st.update(Xb[:1])

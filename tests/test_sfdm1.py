@@ -121,3 +121,12 @@ def test_groups_must_cover_quotas():
     grp = np.zeros(30, dtype=int)  # group 1 empty
     with pytest.raises(RuntimeError):
         run(X, grp, {0: 3, 1: 3})
+
+
+def test_unknown_group_rejected_at_update():
+    X, grp = balanced_instance(9)
+    grp[5] = 7
+    s = SFDM1("euclidean", ks={0: 2, 1: 2}, eps=0.1, d_min=0.01, d_max=10.0, dim=2)
+    with pytest.raises(ValueError, match=r"group\(s\) \[7\]"):
+        s.update(X, grp)
+    assert s.state.n_seen == 0 and s.state.n_stored == 0

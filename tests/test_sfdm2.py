@@ -143,3 +143,12 @@ def test_infeasible_quota_raises():
     grp = np.zeros(40, dtype=int)
     with pytest.raises(RuntimeError):
         run(X, grp, {0: 2, 1: 2})
+
+
+def test_unknown_group_rejected_at_update():
+    X, grp = instance(9, m=3)
+    grp[5] = 7
+    s = SFDM2("euclidean", ks={0: 2, 1: 2, 2: 2}, eps=0.1, d_min=0.01, d_max=10.0, dim=2)
+    with pytest.raises(ValueError, match=r"group\(s\) \[7\]"):
+        s.update(X, grp)
+    assert s.state.n_seen == 0 and s.state.n_stored == 0
