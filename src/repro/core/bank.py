@@ -5,8 +5,8 @@ One :class:`StreamState` holds
 * a bounded **element store** — features/group/id of every element accepted by
   at least one candidate (the paper's ``O(km logΔ/ε)`` memory bound), and
 * one or more :class:`CandidateBank` s — for each guess ``μ`` in the grid, a
-  candidate subset of the store, represented as a ``(G, store)`` boolean
-  membership matrix.
+  candidate of at most ``cap`` store elements, held as a fixed ``(G, cap)``
+  table of store indices.
 
 The update rule (Algorithm 1, line 5): for each guess μ with ``|S_μ| < cap``
 and ``d(x, S_μ) >= μ``, add x to ``S_μ``, checking only the *blind* bank and
@@ -18,6 +18,8 @@ and the Spark job's executor prefilter :func:`survives_snapshot` is the same
 block filter over a broadcast snapshot of the state.
 """
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -31,23 +33,21 @@ BLOCK = 128
 
 
 def accept_rows(
-    D: np.ndarray, mus: np.ndarray, member: np.ndarray, sizes: np.ndarray, cap: int
+    D: np.ndarray, mus: np.ndarray, slots: np.ndarray, sizes: np.ndarray, cap: int
 ) -> np.ndarray:
     """Algorithm 1 line 5 for a block of rows against one bank: a (B, G) mask.
 
     ``D`` holds the (B, N) distances from the rows to the first N store
-    elements, which hold every member of the bank (``member[:, :N]``). Row b
-    is accepted at guess g iff ``sizes[g] < cap`` and ``d(x_b, S_g) >=
+    elements, which hold every candidate of the bank (``slots[g, :sizes[g]]``).
+    Row b is accepted at guess g iff ``sizes[g] < cap`` and ``d(x_b, S_g) >=
     mus[g]``, with ``d(x, ∅) = ∞``.
     """
     n_rows, n = D.shape
     out = np.zeros((n_rows, len(mus)), dtype=bool)
     live = np.flatnonzero(sizes < cap)
-    # live candidates as rows of store indices, padded with n: an inf column
-    g, j = np.divmod(np.flatnonzero(member[live, :n]), n)
-    slot = np.arange(len(g)) - np.searchsorted(g, g)
-    idx = np.full((live.size, slot.max(initial=-1) + 1), n)
-    idx[g, slot] = j
+    # padding (-1) points at an appended inf column
+    idx = slots[live, : sizes[live].max(initial=0)]
+    idx = np.where(idx < 0, n, idx)
     D = np.hstack((D, np.full((n_rows, 1), np.inf)))
     for rows in row_chunks(n_rows, idx.size):
         out[rows, live] = D[rows][:, idx].min(axis=2, initial=np.inf) >= mus[live]
@@ -57,7 +57,7 @@ def accept_rows(
 def _keep_rows(D, groups, mus, blind, banks) -> np.ndarray:
     """Rows that some guess of the blind bank or of their group's bank accepts.
 
-    ``blind`` and the values of ``banks`` are ``(member, sizes, cap)``. A row
+    ``blind`` and the values of ``banks`` are ``(slots, sizes, cap)``. A row
     whose group has no bank is kept, so that the update rejects it loudly.
     """
     keep = accept_rows(D, mus, *blind).any(axis=1)
@@ -70,30 +70,35 @@ def _keep_rows(D, groups, mus, blind, banks) -> np.ndarray:
 
 
 class CandidateBank:
-    """G candidates (one per guess) over a shared element store."""
+    """G candidates (one per guess) of at most ``cap`` store elements each.
 
-    def __init__(self, n_guesses: int, cap: int, store_capacity: int = 64):
+    Row g of ``slots`` holds candidate g's store indices in insertion order,
+    which is ascending; entries past ``sizes[g]`` are -1.
+    """
+
+    def __init__(self, n_guesses: int, cap: int):
         if cap < 1:
             raise ValueError("cap must be >= 1")
         self.cap = cap
-        self.member = np.zeros((n_guesses, store_capacity), dtype=bool)
+        self.slots = np.full((n_guesses, cap), -1, dtype=np.int64)
         self.sizes = np.zeros(n_guesses, dtype=np.int64)
 
-    def grow(self, new_capacity: int) -> None:
-        g, old = self.member.shape
-        if new_capacity <= old:
-            return
-        m = np.zeros((g, new_capacity), dtype=bool)
-        m[:, :old] = self.member
-        self.member = m
+    def arrays(self) -> tuple:
+        """``(slots, sizes, cap)``, the form :func:`accept_rows` reads."""
+        return self.slots, self.sizes, self.cap
 
     def accept_mask(self, D: np.ndarray, mus: np.ndarray) -> np.ndarray:
         """Which guesses accept each row of the (B, store) distances ``D``."""
-        return accept_rows(D, mus, self.member, self.sizes, self.cap)
+        return accept_rows(D, mus, *self.arrays())
 
-    def indices(self, guess: int, n_stored: int) -> np.ndarray:
+    def add(self, acc: np.ndarray, j: int) -> None:
+        """Add store element ``j`` to the candidates of the guesses in mask ``acc``."""
+        self.slots[acc, self.sizes[acc]] = j
+        self.sizes[acc] += 1
+
+    def indices(self, guess: int) -> np.ndarray:
         """Store indices of candidate ``S_μ`` for guess index ``guess``."""
-        return np.flatnonzero(self.member[guess, :n_stored])
+        return self.slots[guess, : self.sizes[guess]].copy()
 
 
 class StreamState:
@@ -145,9 +150,6 @@ class StreamState:
             self._feats = np.resize(self._feats, (new_cap, self.dim))
             self._groups = np.resize(self._groups, new_cap)
             self._ids = np.resize(self._ids, new_cap)
-            self.blind.grow(new_cap)
-            for b in self.group_banks.values():
-                b.grow(new_cap)
         j = self.n_stored
         self._feats[j] = x
         self._groups[j] = group
@@ -165,6 +167,13 @@ class StreamState:
         """Process a chunk of the stream in order (chunking never changes state)."""
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         b = len(feats)
+        if feats.ndim != 2 or feats.shape[1] != self.dim:
+            raise ValueError(
+                f"rows 0..{b - 1} have shape {feats.shape[1:]}, expected ({self.dim},)"
+            )
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row(s) {bad.tolist()} have non-finite features")
         if groups is None:
             if self.group_banks:
                 raise ValueError("groups are required when group banks exist")
@@ -190,9 +199,8 @@ class StreamState:
         survivors in order; distances to elements stored meanwhile come from
         the survivors' own distance matrix."""
         D = self.metric.pairwise(feats, self.feats)
-        blind = (self.blind.member, self.blind.sizes, self.blind.cap)
-        by_group = {g: (b.member, b.sizes, b.cap) for g, b in self.group_banks.items()}
-        rows = np.flatnonzero(_keep_rows(D, groups, self.mus, blind, by_group))
+        by_group = {g: b.arrays() for g, b in self.group_banks.items()}
+        rows = np.flatnonzero(_keep_rows(D, groups, self.mus, self.blind.arrays(), by_group))
         X, D_old = feats[rows], D[rows]
         D_new = self.metric.pairwise(X, X)
         stored: list[int] = []
@@ -204,23 +212,19 @@ class StreamState:
             if any(acc.any() for acc in accs):
                 j = self._append(X[i], grp, int(ids[r]))
                 for bank, acc in zip(banks, accs):
-                    bank.member[acc, j] = True
-                    bank.sizes[acc] += 1
+                    bank.add(acc, j)
                 stored.append(i)
 
     # -- distributed prefilter ----------------------------------------------
     def snapshot(self) -> dict:
         """Immutable state snapshot for broadcasting to executors."""
-        def arrays(b: CandidateBank) -> tuple:
-            return b.member[:, : self.n_stored].copy(), b.sizes.copy(), b.cap
-
-        return {
+        return copy.deepcopy({
             "metric": self.metric.name,
-            "mus": self.mus.copy(),
-            "feats": self.feats.copy(),
-            "blind": arrays(self.blind),
-            "banks": {g: arrays(b) for g, b in self.group_banks.items()},
-        }
+            "mus": self.mus,
+            "feats": self.feats,
+            "blind": self.blind.arrays(),
+            "banks": {g: b.arrays() for g, b in self.group_banks.items()},
+        })
 
 
 def survives_snapshot(snap: dict, feats: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -229,9 +233,11 @@ def survives_snapshot(snap: dict, feats: np.ndarray, groups: np.ndarray) -> np.n
     The block filter of :meth:`StreamState.update`, evaluated against a state
     snapshot. Safe to drop False rows: candidates only grow and ``d(x,S)``
     only shrinks, so rejection against an older state implies rejection
-    against every later state (see DESIGN.md §3).
+    against every later state (see DESIGN.md §3). Rows with non-finite
+    features are kept, so that the update rejects them loudly.
     """
     feats = np.asarray(feats, dtype=np.float64)
     groups = np.asarray(groups, dtype=np.int64)
     D = get_metric(snap["metric"]).pairwise(feats, snap["feats"])
-    return _keep_rows(D, groups, snap["mus"], snap["blind"], snap["banks"])
+    keep = _keep_rows(D, groups, snap["mus"], snap["blind"], snap["banks"])
+    return keep | ~np.isfinite(feats).all(axis=1)

@@ -2,51 +2,29 @@
 
 Repeatedly merging any two clusters that contain a cross-pair closer than the
 threshold is exactly the transitive closure of the "closer than threshold"
-relation, so one union-find pass over all close pairs suffices.
+relation: the connected components of that graph.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..metrics import Metric
 
+def threshold_clusters(D: np.ndarray, threshold: float) -> np.ndarray:
+    """Cluster labels (0..l-1) of the points behind the distance matrix ``D``.
 
-class UnionFind:
-    """Array-based union-find with path compression (substrate for clustering)."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def threshold_clusters(feats: np.ndarray, metric: Metric, threshold: float) -> np.ndarray:
-    """Cluster labels (0..l-1) such that clusters are >= threshold apart.
-
-    Any two points closer than ``threshold`` end up in the same cluster
+    Points i < j with ``D[i, j] < threshold`` end up in the same cluster
     (transitively); the minimum cross-cluster distance is >= threshold.
     """
-    n = len(feats)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    D = metric.pairwise(feats, feats)
-    uf = UnionFind(n)
-    close_i, close_j = np.nonzero(D < threshold)
-    for i, j in zip(close_i.tolist(), close_j.tolist()):
-        if i < j:
-            uf.union(i, j)
-    roots = np.array([uf.find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels.astype(np.int64)
+    n = len(D)
+    close = np.triu(D < threshold, 1)
+    close |= close.T
+    # min-label propagation; labels[i] <= i names a point of i's component,
+    # so the pointer jump labels[labels] stays inside the component
+    labels = np.arange(n)
+    while True:
+        new = np.minimum(labels, np.where(close, labels, n).min(axis=1, initial=n))
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return np.unique(labels, return_inverse=True)[1].astype(np.int64)

@@ -90,12 +90,12 @@ class SFDM1(GuessSolver):
     def _post_one(self, g: int) -> tuple[float, list[int]] | None:
         """Balance the blind candidate of guess g (Alg. 2 lines 10-17)."""
         st = self.state
-        sol = st.blind.indices(g, st.n_stored).tolist()
+        sol = st.blind.indices(g).tolist()
         counts = {grp: int((st.groups[sol] == grp).sum()) for grp in self.ks}
         under = [grp for grp, kg in self.ks.items() if counts[grp] < kg]
         if under:
             (gu,) = under
-            pool = st.group_banks[gu].indices(g, st.n_stored).tolist()
+            pool = st.group_banks[gu].indices(g).tolist()
             sol = swap_balance(
                 st.feats, st.groups, sol, pool, gu, self.ks[gu], self.k, self.metric
             )

@@ -76,25 +76,23 @@ class SFDM2(GuessSolver):
         """Post-process guess index g; returns (div, store indices) or None."""
         st, m, k = self.state, self.m, self.k
         mu = float(self.mus[g])
-        # S_all: union of the blind and all group candidates (store indices are
-        # already deduplicated: each element is stored once).
-        sel = st.blind.member[g, : st.n_stored].copy()
-        for b in st.group_banks.values():
-            sel |= b.member[g, : st.n_stored]
-        s_all = np.flatnonzero(sel)
+        # S_all: union of the blind and all group candidates, as sorted store
+        # indices (each element is stored once)
+        blind = st.blind.indices(g)
+        by_group = [b.indices(g) for b in st.group_banks.values()]
+        s_all = np.unique(np.concatenate([blind, *by_group]))
         feats = st.feats[s_all]
         groups = st.groups[s_all]
         D = self.metric.pairwise(feats, feats)
         # local positions of the blind candidate within s_all
-        pos = {int(x): i for i, x in enumerate(s_all)}
-        blind_local = [pos[int(x)] for x in st.blind.indices(g, st.n_stored)]
+        blind_local = np.searchsorted(s_all, blind).tolist()
         # (1) initial partial solution: at most k_i per group from S_mu
         init: set[int] = set()
         for grp, kg in self.ks.items():
             members = [x for x in blind_local if groups[x] == grp]
             init.update(_greedy_maxmin_subset(D, members, kg))
         # (2) clusters at threshold mu/(m+1)
-        labels = threshold_clusters(feats, self.metric, mu / (m + 1))
+        labels = threshold_clusters(D, mu / (m + 1))
         # Guard: Lemma 3(ii) promises S_mu hits each cluster at most once; an
         # estimated extent grid can break the premise, so enforce I2 on init.
         seen: set[int] = set()

@@ -105,5 +105,5 @@ class StreamingDM(GuessSolver):
     def _post_one(self, g: int) -> tuple[float, np.ndarray]:
         """A full candidate as is (Alg. 1, line 7)."""
         st = self.state
-        idx = st.blind.indices(g, st.n_stored)
+        idx = st.blind.indices(g)
         return div(st.feats[idx], self.metric), idx

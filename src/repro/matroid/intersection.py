@@ -28,62 +28,56 @@ def _greedy_phase(
     D: np.ndarray | None,
     target: int | None,
 ) -> None:
-    n = len(m1.labels)
-    c1 = m1.label_counts(S) if S else {}
-    c2 = m2.label_counts(S) if S else {}
+    in_S = np.zeros(len(m1.labels), dtype=bool)
+    in_S[list(S)] = True
+    c1, c2 = m1.counts(in_S), m2.counts(in_S)
     while target is None or len(S) < target:
-        cand = [
-            x for x in range(n)
-            if x not in S and m1.can_add(c1, x) and m2.can_add(c2, x)
-        ]
-        if not cand:
+        cand = np.flatnonzero(~in_S & m1.can_add(c1) & m2.can_add(c2))
+        if not cand.size:
             return
         if D is not None and S:
-            sl = list(S)
-            sub = D[np.ix_(cand, sl)].min(axis=1)
-            x = cand[int(np.argmax(sub))]
+            x = cand[np.argmax(D[np.ix_(cand, in_S)].min(axis=1))]
         elif D is not None:
             # empty S: seed with the element farthest from everything else
-            x = cand[int(np.argmax(D[cand].sum(axis=1)))]
+            x = cand[np.argmax(D[cand].sum(axis=1))]
         else:
             x = cand[0]
-        S.add(x)
-        l1, l2 = int(m1.labels[x]), int(m2.labels[x])
-        c1[l1] = c1.get(l1, 0) + 1
-        c2[l2] = c2.get(l2, 0) + 1
+        S.add(int(x))
+        in_S[x] = True
+        c1[m1.labels[x]] += 1
+        c2[m2.labels[x]] += 1
 
 
 def _augment_once(S: set[int], m1: PartitionMatroid, m2: PartitionMatroid) -> bool:
     """One Cunningham augmentation step; returns False when S is maximum."""
-    n = len(m1.labels)
-    c1 = m1.label_counts(S) if S else {}
-    c2 = m2.label_counts(S) if S else {}
-    outside = [x for x in range(n) if x not in S]
-    V1 = {x for x in outside if m1.can_add(c1, x)}
-    V2 = {x for x in outside if m2.can_add(c2, x)}
+    in_S = np.zeros(len(m1.labels), dtype=bool)
+    in_S[list(S)] = True
+    add1 = m1.can_add(m1.counts(in_S))
+    in_V2 = m2.can_add(m2.counts(in_S)) & ~in_S
+    outside = np.flatnonzero(~in_S).tolist()
     # BFS over the augmentation digraph. Nodes: elements + virtual a (source).
     # a -> x for x in V1;  x -> b for x in V2;
     # y(in S) -> x(out):  group(x) full and label1(y) == label1(x);
     # x(out) -> y(in S):  cluster(x) full and label2(y) == label2(x).
     prev: dict[int, int | None] = {}
     q: deque[int] = deque()
-    for x in sorted(V1):
+    for x in np.flatnonzero(add1 & ~in_S).tolist():
         prev[x] = None
         q.append(x)
     end = None
     while q:
         u = q.popleft()
-        if u in V2 and u not in S:
+        if in_V2[u]:
             end = u
             break
-        if u not in S:  # u outside S: edges u -> y in S sharing M2 label
+        if not in_S[u]:  # u outside S: edges u -> y in S sharing M2 label
             for y in S:
                 if y not in prev and m2.labels[y] == m2.labels[u]:
                     prev[y] = u
                     q.append(y)
         else:  # u in S: edges u -> x outside sharing M1 label, group full
             for x in outside:
-                if x not in prev and not m1.can_add(c1, x) and m1.labels[x] == m1.labels[u]:
+                if x not in prev and not add1[x] and m1.labels[x] == m1.labels[u]:
                     prev[x] = u
                     q.append(x)
     if end is None:
@@ -115,9 +109,9 @@ def max_common_independent_set(
     stops early once |S| reaches it (the rank bound k in SFDM2).
     """
     S = set(init) if init else set()
-    if not (m1.is_independent(np.array(sorted(S), dtype=int)) if S else True):
+    if not m1.is_independent(list(S)):
         raise ValueError("init not independent in M1")
-    if not (m2.is_independent(np.array(sorted(S), dtype=int)) if S else True):
+    if not m2.is_independent(list(S)):
         raise ValueError("init not independent in M2")
     _greedy_phase(S, m1, m2, dist_matrix, target)
     while (target is None or len(S) < target) and _augment_once(S, m1, m2):

@@ -11,28 +11,27 @@ import numpy as np
 
 
 class PartitionMatroid:
-    """``S`` is independent iff ``|S ∩ {x: label(x)=l}| <= cap(l)`` for all l."""
+    """``S`` is independent iff ``|S ∩ {x: label(x)=l}| <= cap(l)`` for all l.
+
+    ``labels`` holds each element's dense label index and ``caps`` the cap of
+    each label index; a label missing from a ``caps`` dict has cap 0.
+    """
 
     def __init__(self, labels: np.ndarray, caps: dict[int, int] | int):
-        self.labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         if isinstance(caps, int):
-            self.caps = {int(l): caps for l in np.unique(self.labels)}
-        else:
-            self.caps = {int(l): int(c) for l, c in caps.items()}
+            caps = dict.fromkeys(np.unique(labels).tolist(), caps)
+        keys = np.union1d(labels, np.fromiter(caps, dtype=np.int64))
+        self.labels = np.searchsorted(keys, labels)
+        self.caps = np.array([caps.get(int(l), 0) for l in keys], dtype=np.int64)
 
-    def cap(self, label: int) -> int:
-        return self.caps.get(int(label), 0)
+    def counts(self, members) -> np.ndarray:
+        """Per-label counts of ``members`` (element indices or a boolean mask)."""
+        return np.bincount(self.labels[members], minlength=len(self.caps))
 
-    def is_independent(self, members: np.ndarray) -> bool:
-        labels, counts = np.unique(self.labels[members], return_counts=True)
-        return all(c <= self.cap(l) for l, c in zip(labels, counts))
+    def can_add(self, counts: np.ndarray) -> np.ndarray:
+        """(n,) mask of the elements whose addition keeps ``counts`` within the caps."""
+        return (counts < self.caps)[self.labels]
 
-    def label_counts(self, members) -> dict[int, int]:
-        labels, counts = np.unique(self.labels[list(members)], return_counts=True)
-        return {int(l): int(c) for l, c in zip(labels, counts)}
-
-    def can_add(self, counts: dict[int, int], x: int) -> bool:
-        """Whether adding element ``x`` keeps independence, given label counts."""
-        l = int(self.labels[x])
-        return counts.get(l, 0) < self.cap(l)
-
+    def is_independent(self, members) -> bool:
+        return bool((self.counts(members) <= self.caps).all())

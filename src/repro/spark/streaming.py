@@ -4,8 +4,8 @@
 micro-batches (``maxFilesPerTrigger=1`` + ``Trigger.AvailableNow``) and, in
 ``foreachBatch``:
 
-1. broadcasts the current candidate state (stored features + per-guess
-   membership masks + sizes) to the executors;
+1. broadcasts the current candidate state (stored features + each bank's
+   ``(G, cap)`` table of store indices + sizes) to the executors;
 2. runs a ``mapInPandas`` **prefilter** (the block filter of
    :meth:`~repro.core.bank.StreamState.update`, over the broadcast state)
    that drops every element that cannot be accepted by any candidate of any

@@ -72,8 +72,9 @@ def test_store_growth_preserves_membership():
     X = g.normal(size=(300, 2)) * 100
     st.update(X)
     assert st.n_stored > 64  # grew past initial capacity
-    idx = st.blind.indices(0, st.n_stored)
+    idx = st.blind.indices(0)
     assert len(idx) == st.blind.sizes[0]
+    assert st.blind.slots.shape == (1, 500)  # the table never grows with the store
 
 
 def reference_update(st, feats, groups, ids):
@@ -84,15 +85,27 @@ def reference_update(st, feats, groups, ids):
         banks = [st.blind] + ([st.group_banks[int(grp)]] if st.group_banks else [])
         accs = []
         for bank in banks:
-            M = bank.member[:, : st.n_stored]
+            # guess g's mask holds the store indices of its first sizes[g] slots
+            g, c = np.nonzero(filled(bank))
+            M = np.zeros((len(st.mus), st.n_stored), dtype=bool)
+            M[g, bank.slots[g, c]] = True
             dmin = np.where(M, dists[None, :], np.inf).min(axis=1, initial=np.inf)
             accs.append((bank.sizes < bank.cap) & (dmin >= st.mus))
         if any(acc.any() for acc in accs):
             j = st._append(x, int(grp), int(eid))
             for bank, acc in zip(banks, accs):
-                bank.member[acc, j] = True
+                bank.slots[acc, bank.sizes[acc]] = j
                 bank.sizes[acc] += 1
         st.n_seen += 1
+
+
+def banks(st):
+    return [st.blind, *st.group_banks.values()]
+
+
+def filled(bank):
+    """(G, cap) mask of the slots that hold a candidate element."""
+    return np.arange(bank.cap) < bank.sizes[:, None]
 
 
 def assert_same_state(a, b):
@@ -102,11 +115,23 @@ def assert_same_state(a, b):
     assert np.array_equal(a.feats, b.feats)
     assert np.array_equal(a.groups, b.groups)
     assert sorted(a.group_banks) == sorted(b.group_banks)
-    for bank_a, bank_b in zip(
-        [a.blind, *a.group_banks.values()], [b.blind, *b.group_banks.values()]
-    ):
-        assert np.array_equal(bank_a.member[:, :n], bank_b.member[:, :n])
+    for bank_a, bank_b in zip(banks(a), banks(b)):
+        assert np.array_equal(bank_a.slots, bank_b.slots)  # same order, same padding
         assert np.array_equal(bank_a.sizes, bank_b.sizes)
+
+
+def assert_table_invariants(st, prev_sizes):
+    """Sizes only grow and stay within the cap; each row of a slot table holds
+    strictly increasing store indices, then padding; the store stays within
+    G·(k + Σ caps)."""
+    for bank, prev in zip(banks(st), prev_sizes):
+        assert (bank.sizes >= prev).all() and (bank.sizes <= bank.cap).all()
+        assert bank.slots.shape == (len(st.mus), bank.cap)
+        used, slots = filled(bank), bank.slots
+        assert (np.diff(slots, axis=1) > 0)[used[:, 1:]].all()
+        assert (slots[used] >= 0).all() and (slots[used] < st.n_stored).all()
+        assert (slots[~used] == -1).all()
+    assert st.n_stored <= len(st.mus) * sum(b.cap for b in banks(st))
 
 
 def _generator_stream(name, algo, n=1000):
@@ -153,7 +178,9 @@ def test_chunked_equals_per_element_reference(name, algo):
     for block in (1, 7, 256, n):
         st = solver().state
         for i in range(0, n, block):
+            sizes = [b.sizes.copy() for b in banks(st)]
             st.update(X[i : i + block], grp[i : i + block], ids[i : i + block])
+            assert_table_invariants(st, sizes)
         assert_same_state(st, ref)
     # the prefilter drops only rows the continued update never stores
     st = solver().state
@@ -239,6 +266,13 @@ def test_prefilter_keeps_rows_of_unknown_groups():
     st, Xb, gb = _full_state_and_batch()
     keep = survives_snapshot(st.snapshot(), Xb, np.full(len(Xb), 9))
     assert keep.all()
+    # likewise rows with non-finite features
+    bad = Xb.copy()
+    bad[[2, 40], 0] = np.nan, np.inf
+    keep = survives_snapshot(st.snapshot(), bad, gb)
+    assert keep[[2, 40]].all() and not keep.all()
+    with pytest.raises(ValueError, match=r"row\(s\) \[2, 40\] have non-finite"):
+        st.update(bad, gb)
     with pytest.raises(ValueError, match="no candidate bank"):
         st.update(Xb[:1], np.array([9]))
     with pytest.raises(ValueError, match="groups are required"):

@@ -13,8 +13,7 @@ MET = get_metric("euclidean")
 
 def rank(m: PartitionMatroid) -> int:
     """Rank of a partition matroid: sum over labels of min(count, cap)."""
-    labels, counts = np.unique(m.labels, return_counts=True)
-    return int(sum(min(c, m.cap(l)) for l, c in zip(labels, counts)))
+    return int(np.minimum(m.counts(np.arange(len(m.labels))), m.caps).sum())
 
 
 def brute_max_intersection(m1: PartitionMatroid, m2: PartitionMatroid) -> int:
@@ -80,8 +79,17 @@ def test_uniform_cap_constructor():
 
 def test_can_add_respects_caps():
     m = PartitionMatroid(np.array([0, 0, 1]), {0: 1, 1: 1})
-    assert m.can_add({}, 0)
-    assert not m.can_add({0: 1}, 1)  # element 1 has label 0, label full
+    assert m.can_add(m.counts([])).tolist() == [True, True, True]
+    # elements 0 and 1 have label 0, now full
+    assert m.can_add(m.counts([0])).tolist() == [False, False, True]
+
+
+def test_labels_made_dense():
+    # sparse labels become label indices; a label without a cap has cap 0
+    m = PartitionMatroid(np.array([7, 3, 7, 5]), {3: 1, 7: 2, 9: 4})
+    assert m.labels.tolist() == [2, 0, 2, 1] and m.caps.tolist() == [1, 0, 2, 4]
+    assert m.counts([0, 2, 3]).tolist() == [0, 1, 2, 0]
+    assert m.is_independent([0, 1, 2]) and not m.is_independent([3])
 
 
 # -- Algorithm 4 -------------------------------------------------------------
@@ -109,12 +117,11 @@ def test_intersection_with_nonempty_init(seed):
     m1 = PartitionMatroid(l1, {i: 2 for i in range(3)})
     m2 = PartitionMatroid(l2, 1)
     # build a valid init greedily
-    init, c1, c2 = set(), {}, {}
+    init = set()
     for x in range(n):
-        if m1.can_add(c1, x) and m2.can_add(c2, x) and len(init) < 2:
+        c1, c2 = m1.counts(list(init)), m2.counts(list(init))
+        if m1.can_add(c1)[x] and m2.can_add(c2)[x] and len(init) < 2:
             init.add(x)
-            c1[int(l1[x])] = c1.get(int(l1[x]), 0) + 1
-            c2[int(l2[x])] = c2.get(int(l2[x]), 0) + 1
     S = max_common_independent_set(m1, m2, init=init)
     arr = np.array(sorted(S))
     assert m1.is_independent(arr) and m2.is_independent(arr)

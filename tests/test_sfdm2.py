@@ -147,8 +147,17 @@ def test_infeasible_quota_raises():
 
 def test_unknown_group_rejected_at_update():
     X, grp = instance(9, m=3)
-    grp[5] = 7
+    bad = grp.copy()
+    bad[5] = 7
     s = SFDM2("euclidean", ks={0: 2, 1: 2, 2: 2}, eps=0.1, d_min=0.01, d_max=10.0, dim=2)
     with pytest.raises(ValueError, match=r"group\(s\) \[7\]"):
-        s.update(X, grp)
+        s.update(X, bad)
+    # non-finite features, first or later in the chunk, and a wrong width
+    for row, value in ((0, np.nan), (5, np.nan), (3, -np.inf)):
+        Y = X.copy()
+        Y[row, 1] = value
+        with pytest.raises(ValueError, match=rf"row\(s\) \[{row}\] have non-finite"):
+            s.update(Y, grp)
+    with pytest.raises(ValueError, match=r"expected \(2,\)"):
+        s.update(np.hstack([X, X]), grp)
     assert s.state.n_seen == 0 and s.state.n_stored == 0
