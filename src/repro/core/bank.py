@@ -182,6 +182,9 @@ class StreamState:
         if ids is None:
             ids = np.arange(self.n_seen, self.n_seen + b, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
+        for name, a in (("groups", groups), ("ids", ids)):
+            if a.shape != (b,):
+                raise ValueError(f"{name} has shape {a.shape}, expected ({b},) for {b} rows")
         if self.group_banks:
             unknown = np.setdiff1d(groups, list(self.group_banks))
             if unknown.size:

@@ -105,8 +105,9 @@ def max_common_independent_set(
 
     ``init`` must itself be independent in both matroids. ``dist_matrix``
     (full pairwise distances over the ground set) drives the greedy max-min
-    selection; pass None for arbitrary (FairFlow-style) choices. ``target``
-    stops early once |S| reaches it (the rank bound k in SFDM2).
+    selection (SFDM2); None takes addable elements in index order, the
+    arbitrary choices of FairFlow. ``target`` stops early once |S| reaches it
+    (the rank bound k in SFDM2 and FairFlow).
     """
     S = set(init) if init else set()
     if not m1.is_independent(list(S)):

@@ -3,15 +3,16 @@
 Samples up to ``sample`` rows of a (id, features) DataFrame, self-joins the
 sample, and aggregates min-nonzero/max pairwise distance with the SQL
 expressions from :mod:`repro.spark.vectors`. Mirrors
-:func:`repro.extent.estimate_extent` (same safety factors) but runs as a
-Spark job — this is the pre-pass a streaming deployment runs before the
-guess grid is fixed.
+:func:`repro.extent.estimate_extent` (same ``LO_FACTOR``/``HI_FACTOR``
+safety factors) but runs as a Spark job — this is the pre-pass a streaming
+deployment runs before the guess grid is fixed.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..extent import HI_FACTOR, LO_FACTOR
 from .vectors import distance_expr
 
 
@@ -21,8 +22,6 @@ def spark_extent(
     *,
     sample: int = 1000,
     seed: int = 0,
-    lo_factor: float = 0.5,
-    hi_factor: float = 2.0,
 ) -> tuple[float, float]:
     """(d_min, d_max) estimate from a sampled self-join. df: (id, features)."""
     n = df.count()
@@ -38,4 +37,4 @@ def spark_extent(
     ).first()
     if row["dmin"] is None:
         raise ValueError("all sampled points identical; d_min undefined")
-    return float(row["dmin"]) * lo_factor, float(row["dmax"]) * hi_factor
+    return float(row["dmin"]) * LO_FACTOR, float(row["dmax"]) * HI_FACTOR

@@ -87,6 +87,18 @@ def test_fair_flow_positive_fraction_of_opt(seed):
     assert d >= optf / (3 * 3 - 1) * 0.9 - 1e-9
 
 
+def test_fair_flow_assignment_needs_augmenting_path():
+    # at the first guess the clusters are {0, 2} and {1}; taking element 0
+    # first fills group 0 and cluster {0, 2}, and only the augmenting path
+    # that swaps 0 for 1 and adds 2 reaches k = 2 (without it FairFlow would
+    # shrink μ until {0, 2} splits and return diversity 0.5)
+    X = np.array([[0.0], [10.0], [0.5]])
+    grp = np.array([0, 0, 1])
+    idx, d = fair_flow(X, grp, {0: 1, 1: 1}, "euclidean")
+    assert sorted(idx.tolist()) == [1, 2]
+    assert d == pytest.approx(9.5)
+
+
 def test_fair_flow_infeasible_quota():
     X = np.random.default_rng(4).normal(size=(20, 2))
     grp = np.zeros(20, dtype=int)

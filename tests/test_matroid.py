@@ -94,15 +94,22 @@ def test_labels_made_dense():
 
 # -- Algorithm 4 -------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(12))
-def test_intersection_is_maximum(seed):
-    g = np.random.default_rng(seed)
-    n = 9
-    l1 = g.integers(0, 3, n)
-    l2 = g.integers(0, 4, n)
-    m1 = PartitionMatroid(l1, {i: int(g.integers(1, 3)) for i in range(3)})
-    m2 = PartitionMatroid(l2, 1)
-    S = max_common_independent_set(m1, m2)
+@pytest.mark.parametrize("case", [*range(12), "groups_x_clusters"])
+def test_intersection_is_maximum(case):
+    if case == "groups_x_clusters":
+        # FairFlow's call: 9 elements labelled (group, cluster) over
+        # 3 groups x 3 clusters, unit caps, target k = 3, no distances
+        group, cluster = np.divmod(np.arange(9), 3)
+        m1, m2 = PartitionMatroid(group, 1), PartitionMatroid(cluster, 1)
+        S = max_common_independent_set(m1, m2, target=3)
+    else:
+        g = np.random.default_rng(case)
+        n = 9
+        l1 = g.integers(0, 3, n)
+        l2 = g.integers(0, 4, n)
+        m1 = PartitionMatroid(l1, {i: int(g.integers(1, 3)) for i in range(3)})
+        m2 = PartitionMatroid(l2, 1)
+        S = max_common_independent_set(m1, m2)
     arr = np.array(sorted(S))
     assert m1.is_independent(arr) and m2.is_independent(arr)
     assert len(S) == brute_max_intersection(m1, m2)

@@ -160,4 +160,13 @@ def test_unknown_group_rejected_at_update():
             s.update(Y, grp)
     with pytest.raises(ValueError, match=r"expected \(2,\)"):
         s.update(np.hstack([X, X]), grp)
+    # groups or ids without exactly one entry per row
+    Z, zg = instance(9, n=300, m=3)
+    for z_groups, z_ids, name in (
+        (zg, np.arange(10), "ids"),
+        (zg[:1], None, "groups"),
+        (zg[:, None], None, "groups"),
+    ):
+        with pytest.raises(ValueError, match=rf"{name} has shape"):
+            s.update(Z, z_groups, z_ids)
     assert s.state.n_seen == 0 and s.state.n_stored == 0
